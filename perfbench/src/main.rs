@@ -36,6 +36,7 @@ struct Args {
     seconds: f64,
     trace: bool,
     child_pass: Option<bool>,
+    child_setup: Option<bool>,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -45,6 +46,7 @@ fn parse_args() -> Result<Args, String> {
         seconds: 10.0,
         trace: false,
         child_pass: None,
+        child_setup: None,
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -76,10 +78,22 @@ fn parse_args() -> Result<Args, String> {
                     }
                 })
             }
+            "--child-setup" => {
+                args.child_setup = Some(match value()?.as_str() {
+                    "plain" => false,
+                    "store" => true,
+                    other => {
+                        return Err(format!("--child-setup takes plain or store, not {other}"))
+                    }
+                })
+            }
             other => return Err(format!("unknown argument {other}")),
         }
     }
-    if args.child_pass.is_none() && !WORKLOADS.contains(&args.workload.as_str()) {
+    if args.child_pass.is_none()
+        && args.child_setup.is_none()
+        && !WORKLOADS.contains(&args.workload.as_str())
+    {
         return Err(format!("--workload must be one of {WORKLOADS:?}"));
     }
     Ok(args)
@@ -121,6 +135,22 @@ fn main() -> ExitCode {
     if let Some(traced) = args.child_pass {
         println!("{}", repro::child_pass(args.seed, traced));
         return ExitCode::SUCCESS;
+    }
+    if let Some(store) = args.child_setup {
+        let scratch = PathBuf::from(".bench_tmp").join(std::process::id().to_string());
+        let workers = host::Host::probe().server_workers;
+        let times = serve::child_setup(workers, store.then_some(scratch.as_path()));
+        let _ = std::fs::remove_dir_all(&scratch);
+        return match times {
+            Ok(line) => {
+                println!("{line}");
+                ExitCode::SUCCESS
+            }
+            Err(e) => {
+                eprintln!("perfbench: {e}");
+                ExitCode::FAILURE
+            }
+        };
     }
     // The program under test runs as many engine threads as the host has
     // processors; every process this one starts inherits the setting.

@@ -11,10 +11,10 @@
 use std::process::{Command, Stdio};
 use std::time::Instant;
 
+use ntc::api::fnv64;
 use ntc::artifact::json::{parse, JsonValue};
 use ntc::repro::{registry, run_one, RunCtx, Scale};
 
-use crate::stats::fnv64;
 use crate::trace;
 
 /// Experiments whose span coverage counts toward `obs.span_coverage_min`:

@@ -22,6 +22,8 @@ use crate::stats::Rng;
 
 /// Distinct `/v1/query` bodies in the pool.
 const QUERY_POOL: usize = 512;
+/// Queries in a batched `/v1/query` body.
+const QUERY_BATCH: usize = 4;
 
 /// A seeded pool of `/v1/query` bodies and the exact bytes the server
 /// must answer each with, computed in process by `query::eval`.
@@ -34,12 +36,17 @@ pub struct QueryPool {
     pub single: Vec<bool>,
 }
 
+/// One query, its kind drawn uniformly from four: Eq. 4 (access) and
+/// Eq. 5 (retention) bit error rates, `vmin`, and energy. Within a kind
+/// every parameter is drawn uniformly too. No traffic record exists to
+/// weight them by, so the mix is uniform, not measured.
 fn one_query(rng: &mut Rng, k: usize) -> QueryRequest {
     // Voltages sit on a 5 mV grid so repeats exercise the model memo.
     #[allow(clippy::cast_precision_loss)]
     let grid_v = |rng: &mut Rng, lo: f64, steps: usize| lo + 0.005 * rng.below(steps) as f64;
-    let kind = match rng.below(9) {
-        0..=1 => {
+    let kind = match rng.below(4) {
+        // Eq. 4 has laws for the two 40 nm memories only; Eq. 5 covers all three.
+        0 => {
             let memory = [Memory::Commercial40, Memory::CellBased40][rng.below(2)];
             let vdd = match memory {
                 Memory::Commercial40 => grid_v(rng, 0.55, 80),
@@ -51,7 +58,7 @@ fn one_query(rng: &mut Rng, k: usize) -> QueryRequest {
                 vdd,
             }
         }
-        2..=3 => QueryKind::Ber {
+        1 => QueryKind::Ber {
             law: LawKind::Retention,
             memory: [
                 Memory::Commercial40,
@@ -60,7 +67,7 @@ fn one_query(rng: &mut Rng, k: usize) -> QueryRequest {
             ][rng.below(3)],
             vdd: grid_v(rng, 0.15, 100),
         },
-        4..=6 => QueryKind::Vmin {
+        2 => QueryKind::Vmin {
             scheme: [Scheme::NoMitigation, Scheme::Secded, Scheme::Ocean][rng.below(3)],
             memory: [Memory::Commercial40, Memory::CellBased40][rng.below(2)],
             fit_target: [1e-15, 1e-12][rng.below(2)],
@@ -84,15 +91,17 @@ fn compact(v: &JsonValue) -> String {
 }
 
 impl QueryPool {
-    /// Builds the pool for `seed`: Eq. 4 and Eq. 5 bit error rates over
-    /// all three memories, `vmin` on the paper and exact grids with and
-    /// without a clock, energy points, and one body in ten a batch of four.
+    /// Builds the pool for `seed`. Each body is drawn uniformly from five
+    /// forms: a single query of one of the four kinds `one_query` draws
+    /// (Eq. 4 and Eq. 5 bit error rates over all three memories, `vmin` on
+    /// the paper and exact grids with and without a clock, energy points),
+    /// or a batch of four such queries.
     pub fn new(seed: u64) -> Result<QueryPool, String> {
         let mut rng = Rng::new(seed, 0x0071_7565_7279);
         let models = Models::paper();
         let (mut bodies, mut expected, mut single) = (Vec::new(), Vec::new(), Vec::new());
         for k in 0..QUERY_POOL {
-            let batch = if rng.below(10) == 0 { 4 } else { 1 };
+            let batch = if rng.below(5) == 0 { QUERY_BATCH } else { 1 };
             let queries: Vec<QueryRequest> = (0..batch).map(|_| one_query(&mut rng, k)).collect();
             let mut results = Vec::new();
             for q in &queries {
@@ -144,12 +153,14 @@ pub enum ComputeKey {
 
 /// Run keys: every registry id at four seeds.
 const RUN_SEEDS: usize = 4;
-/// Optimize keys: frequencies × restart counts × seeds.
-const OPT_FREQS: usize = 10;
+/// Optimize keys: frequencies, each at two restart counts and two seeds.
+const OPT_FREQS: usize = 22;
 
-/// The `serve_compute` key space: 88 runs and 40 searches, twice the
-/// server's default memo capacity of 64, so repeats split between memo
-/// hits and store reads.
+/// The `serve_compute` key space: 88 runs and 88 searches. Run and
+/// optimize results sit in separate memos of the default capacity 64, so
+/// each half exceeds its memo and repeats split between memo hits and
+/// store reads. The halves are equal, so a key drawn uniformly is a run or
+/// a search with even odds: no traffic record exists to weight them by.
 pub fn compute_keys(seed: u64) -> Vec<ComputeKey> {
     let mut rng = Rng::new(seed, 0x636f_6d70);
     let mut keys = Vec::new();
@@ -237,6 +248,58 @@ pub fn start(workers: usize, store: Option<PathBuf>) -> Result<(RunningServer, f
         }
     }
     Ok((server, t.elapsed().as_secs_f64()))
+}
+
+/// Servers started, timed and stopped in a set-up child.
+const SETUP_STARTS: usize = 64;
+
+/// Body of `--child-setup`: starts, times and stops `SETUP_STARTS` servers
+/// one after another, each with a fresh store under `scratch` if given,
+/// and returns the times (s) as one JSON array.
+pub fn child_setup(workers: usize, scratch: Option<&Path>) -> Result<String, String> {
+    let mut times = Vec::new();
+    for k in 0..SETUP_STARTS {
+        let dir = match scratch {
+            Some(root) => Some(fresh_dir(root, &format!("setup-{k}"))?),
+            None => None,
+        };
+        let (server, secs) = start(workers, dir.clone())?;
+        server.shutdown();
+        if let Some(dir) = dir {
+            let _ = std::fs::remove_dir_all(dir);
+        }
+        times.push(secs.to_string());
+    }
+    Ok(format!("[{}]", times.join(", ")))
+}
+
+/// Runs `--child-setup` in a child process and returns its start times.
+/// The starts run apart from the benchmark process so that the allocator
+/// state their threads leave behind does not reach its `peak_rss_mb`.
+pub fn spawn_setup(store: bool) -> Result<Vec<f64>, String> {
+    let exe = std::env::current_exe().map_err(|e| format!("locating the benchmark binary: {e}"))?;
+    let out = std::process::Command::new(exe)
+        .args(["--child-setup", if store { "store" } else { "plain" }])
+        .stdin(std::process::Stdio::null())
+        .stderr(std::process::Stdio::inherit())
+        .output()
+        .map_err(|e| format!("spawning the set-up child: {e}"))?;
+    if !out.status.success() {
+        return Err(format!("set-up child exited with {}", out.status));
+    }
+    let text = String::from_utf8_lossy(&out.stdout);
+    let line = text.lines().last().ok_or("set-up child printed nothing")?;
+    let times: Vec<f64> = parse(line)
+        .map_err(|e| format!("set-up child output: {e}"))?
+        .as_arr()
+        .ok_or("set-up child output is not an array")?
+        .iter()
+        .filter_map(JsonValue::as_num)
+        .collect();
+    if times.len() != SETUP_STARTS {
+        return Err(format!("set-up child reported {} starts", times.len()));
+    }
+    Ok(times)
 }
 
 /// A fresh, empty directory under the benchmark's scratch root.

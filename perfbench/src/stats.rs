@@ -98,13 +98,6 @@ impl Rng {
     }
 }
 
-/// FNV-1a over bytes: a cheap digest for byte-identity checks.
-pub fn fnv64(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
